@@ -8,9 +8,10 @@ import (
 // shortCfg is the CI-sized soak: 60 simulated seconds of storm.
 func shortCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 60 * time.Second,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    60 * time.Second,
 	}
 }
 
@@ -78,10 +79,11 @@ func TestSoakReproducible(t *testing.T) {
 // isolations in the storm mix.
 func splitCfg(seed int64) SoakConfig {
 	return SoakConfig{
-		Seed:       seed,
-		Vehicles:   16,
-		Duration:   90 * time.Second,
-		SplitBrain: true,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    90 * time.Second,
+		SplitBrain:  true,
 	}
 }
 
@@ -169,10 +171,11 @@ func TestSoakConfigValidate(t *testing.T) {
 // storageCfg is the CI-sized churn-storm soak over the data service.
 func storageCfg(seed int64, mode string) SoakConfig {
 	return SoakConfig{
-		Seed:     seed,
-		Vehicles: 16,
-		Duration: 90 * time.Second,
-		Storage:  mode,
+		Seed:        seed,
+		Vehicles:    16,
+		ByzFraction: 0.2,
+		Duration:    90 * time.Second,
+		Storage:     mode,
 	}
 }
 

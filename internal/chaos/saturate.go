@@ -47,6 +47,9 @@ const (
 	satOutputBytes  = 10_000
 	satMaxBatch     = 8   // submissions per beat at full ramp
 	satOptionalFrac = 0.4 // fraction of the stream that is sheddable
+	// satDeadline is the relative deadline stamped on congestion-
+	// workload tasks.
+	satDeadline = 8 * time.Second
 )
 
 // satTask tracks one congestion-workload submission.
@@ -125,7 +128,7 @@ func (sk *soak) setupSaturate() error {
 func (sk *soak) saturateTick() {
 	sat := sk.sat
 	now := sk.s.Kernel.Now()
-	progress := float64(now-sk.cfg.Warmup) / float64(sk.cfg.Duration)
+	progress := float64(now-warmup) / float64(sk.cfg.Duration)
 	if progress < 0 {
 		progress = 0
 	}
@@ -137,7 +140,7 @@ func (sk *soak) saturateTick() {
 		seq := len(sat.tasks)
 		st := &satTask{
 			optional: sat.rng.Float64() < satOptionalFrac,
-			deadline: now + sk.cfg.SaturateDeadline,
+			deadline: now + satDeadline,
 		}
 		sat.tasks = append(sat.tasks, st)
 		task := vcloud.Task{

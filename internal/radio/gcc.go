@@ -36,7 +36,9 @@ import (
 	"vcloud/internal/sim"
 )
 
-// BWEConfig tunes a bandwidth estimator. Zero values take defaults.
+// BWEConfig tunes a bandwidth estimator. Zero MinBps, MaxBps and
+// StartBps take the defaults noted on each field; the rest of the
+// estimator's tuning is fixed (see the constants after withDefaults).
 type BWEConfig struct {
 	// MinBps / MaxBps clamp every rate the estimator publishes. MaxBps
 	// should be the channel's physical capacity; Sender wiring defaults
@@ -46,26 +48,6 @@ type BWEConfig struct {
 	// StartBps seeds the controllers before any feedback. Default
 	// MaxBps/2.
 	StartBps float64
-	// BurstInterval coalesces messages sent within it into one arrival
-	// group. Default 5 ms.
-	BurstInterval sim.Time
-	// Window is the trendline regression window in delay samples.
-	// Default 20.
-	Window int
-	// Gain scales the regression slope into the overuse comparison.
-	// Default 4.0.
-	Gain float64
-	// Beta is the multiplicative decrease applied to the measured
-	// received rate on overuse. Default 0.85.
-	Beta float64
-	// SmoothAlpha is the EWMA weight of the newest target in the
-	// published estimate. Default 0.3.
-	SmoothAlpha float64
-	// FeedbackWindow is the loss-rate window in messages. Default 20.
-	FeedbackWindow int
-	// LossInterval rate-limits loss-controller updates so per-message
-	// multiplicative steps cannot compound unboundedly. Default 500 ms.
-	LossInterval sim.Time
 }
 
 func (c BWEConfig) withDefaults() BWEConfig {
@@ -78,29 +60,30 @@ func (c BWEConfig) withDefaults() BWEConfig {
 	if c.StartBps <= 0 {
 		c.StartBps = c.MaxBps / 2
 	}
-	if c.BurstInterval <= 0 {
-		c.BurstInterval = 5 * time.Millisecond
-	}
-	if c.Window <= 1 {
-		c.Window = 20
-	}
-	if c.Gain <= 0 {
-		c.Gain = 4.0
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.85
-	}
-	if c.SmoothAlpha <= 0 || c.SmoothAlpha > 1 {
-		c.SmoothAlpha = 0.3
-	}
-	if c.FeedbackWindow <= 0 {
-		c.FeedbackWindow = 20
-	}
-	if c.LossInterval <= 0 {
-		c.LossInterval = 500 * time.Millisecond
-	}
 	return c
 }
+
+// Estimator tuning.
+const (
+	// burstInterval coalesces messages sent within it into one arrival
+	// group.
+	burstInterval = 5 * time.Millisecond
+	// trendWindow is the trendline regression window in delay samples.
+	trendWindow = 20
+	// trendGain scales the regression slope into the overuse comparison.
+	trendGain = 4.0
+	// overuseBeta is the multiplicative decrease applied to the measured
+	// received rate on overuse.
+	overuseBeta = 0.85
+	// smoothAlpha is the EWMA weight of the newest target in the
+	// published estimate.
+	smoothAlpha = 0.3
+	// feedbackWindow is the loss-rate window in messages.
+	feedbackWindow = 20
+	// lossInterval rate-limits loss-controller updates so per-message
+	// multiplicative steps cannot compound unboundedly.
+	lossInterval = 500 * time.Millisecond
+)
 
 // Detector states.
 const (
@@ -150,7 +133,7 @@ type BWEstimator struct {
 	cfg BWEConfig
 
 	// Arrival grouping. A group is keyed by its first send time; it
-	// closes when a message sent more than BurstInterval later arrives.
+	// closes when a message sent more than burstInterval later arrives.
 	haveGroup                     bool
 	groupFirstSend, groupLastSend sim.Time
 	groupLastArrival              sim.Time
@@ -176,7 +159,7 @@ type BWEstimator struct {
 	rateWin []rateSample
 
 	// Loss window: a ring of recent message outcomes (true = delivered).
-	outcomes   []bool
+	outcomes   [feedbackWindow]bool
 	outcomeIdx int
 	outcomeN   int
 
@@ -207,7 +190,6 @@ func NewBWEstimator(cfg BWEConfig) *BWEstimator {
 		delayBps:    cfg.StartBps,
 		lossBps:     cfg.StartBps,
 		estimate:    cfg.StartBps,
-		outcomes:    make([]bool, cfg.FeedbackWindow),
 	}
 }
 
@@ -239,7 +221,7 @@ func (e *BWEstimator) OnAck(sendTime, arrival sim.Time, bytes int) {
 		e.publish()
 		return
 	}
-	if sendTime-e.groupFirstSend <= e.cfg.BurstInterval {
+	if sendTime-e.groupFirstSend <= burstInterval {
 		// Same burst: extend the current group. Out-of-order arrivals
 		// keep the latest times.
 		if sendTime > e.groupLastSend {
@@ -285,7 +267,7 @@ func (e *BWEstimator) onDelayDelta(deltaMs float64, arrival sim.Time) {
 		tMs:     (arrival - e.firstArrival).Seconds() * 1e3,
 		delayMs: e.smoothDelayMs,
 	})
-	if len(e.window) > e.cfg.Window {
+	if len(e.window) > trendWindow {
 		e.window = e.window[1:]
 	}
 	slope, ok := e.slope()
@@ -297,7 +279,7 @@ func (e *BWEstimator) onDelayDelta(deltaMs float64, arrival sim.Time) {
 		n = maxDeltas
 	}
 	e.prevTrend = e.trend
-	e.trend = slope * float64(n) * e.cfg.Gain
+	e.trend = slope * float64(n) * trendGain
 	e.detect(arrival)
 	e.stepDelayController(arrival)
 }
@@ -378,9 +360,9 @@ func (e *BWEstimator) stepDelayController(now sim.Time) {
 		if e.rcState != rcDecrease {
 			e.rcState = rcDecrease
 			if received > 0 {
-				e.delayBps = e.cfg.Beta * received
+				e.delayBps = overuseBeta * received
 			} else {
-				e.delayBps *= e.cfg.Beta
+				e.delayBps *= overuseBeta
 			}
 			e.lastDecrease = e.delayBps
 		}
@@ -420,12 +402,12 @@ func (e *BWEstimator) clampDelay() {
 }
 
 // updateLoss runs the loss-based controller at most once per
-// LossInterval: heavy loss multiplies down, negligible loss grows.
+// lossInterval: heavy loss multiplies down, negligible loss grows.
 func (e *BWEstimator) updateLoss(now sim.Time) {
-	if e.outcomeN < e.cfg.FeedbackWindow {
+	if e.outcomeN < feedbackWindow {
 		return // window not yet primed
 	}
-	if e.lastLossAt > 0 && now-e.lastLossAt < e.cfg.LossInterval {
+	if e.lastLossAt > 0 && now-e.lastLossAt < lossInterval {
 		return
 	}
 	e.lastLossAt = now
@@ -451,7 +433,7 @@ func (e *BWEstimator) publish() {
 	if e.lossBps < target {
 		target = e.lossBps
 	}
-	e.estimate += e.cfg.SmoothAlpha * (target - e.estimate)
+	e.estimate += smoothAlpha * (target - e.estimate)
 	if e.estimate > e.cfg.MaxBps {
 		e.estimate = e.cfg.MaxBps
 	}

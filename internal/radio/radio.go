@@ -52,26 +52,27 @@ type Params struct {
 	// accumulated for the collision model.
 	LoadWindow sim.Time
 	// CollisionFactor scales how aggressively load translates into loss:
-	// pLoss = min(MaxCollisionLoss, CollisionFactor × airtimeFraction).
+	// pLoss = min(maxCollisionLoss, CollisionFactor × airtimeFraction).
 	CollisionFactor float64
-	// MaxCollisionLoss caps the load-induced loss probability.
-	MaxCollisionLoss float64
-	// UnicastRetries is the number of link-layer retransmissions for
-	// unicast frames (802.11-style ARQ). Broadcasts are never retried,
-	// as on a real MAC. Default 3.
-	UnicastRetries int
 }
+
+const (
+	// maxCollisionLoss caps the load-induced loss probability.
+	maxCollisionLoss = 0.9
+	// unicastRetries is the number of link-layer retransmissions for
+	// unicast frames (802.11-style ARQ). Broadcasts are never retried,
+	// as on a real MAC.
+	unicastRetries = 3
+)
 
 // DefaultParams returns DSRC-flavoured defaults (300 m range, 6 Mbps).
 func DefaultParams() Params {
 	return Params{
-		RangeMax:         300,
-		RangeReliable:    150,
-		BitrateMbps:      6,
-		LoadWindow:       100 * time.Millisecond,
-		CollisionFactor:  1.0,
-		MaxCollisionLoss: 0.9,
-		UnicastRetries:   3,
+		RangeMax:        300,
+		RangeReliable:   150,
+		BitrateMbps:     6,
+		LoadWindow:      100 * time.Millisecond,
+		CollisionFactor: 1.0,
 	}
 }
 
@@ -418,8 +419,8 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 	m.airtime += float64(m.txDelay(size)) / float64(time.Second)
 
 	pCollide := m.params.CollisionFactor * load
-	if pCollide > m.params.MaxCollisionLoss {
-		pCollide = m.params.MaxCollisionLoss
+	if pCollide > maxCollisionLoss {
+		pCollide = maxCollisionLoss
 	}
 
 	if to == Broadcast {
@@ -432,11 +433,7 @@ func (m *Medium) Send(from, to NodeID, size int, payload any) {
 			m.deliver(from, to, NodeID(raw), src, m.scratchPos[i], size, payload, 0, pCollide)
 		}
 	} else if p, ok := m.index.Position(int32(to)); ok {
-		retries := m.params.UnicastRetries
-		if retries < 0 {
-			retries = 0
-		}
-		m.deliver(from, to, to, src, p, size, payload, retries, pCollide)
+		m.deliver(from, to, to, src, p, size, payload, unicastRetries, pCollide)
 	}
 
 	// Eavesdroppers overhear whatever their radio can demodulate,

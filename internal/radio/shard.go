@@ -30,7 +30,7 @@ type ShardChannel struct {
 	seed   uint64
 	params Params
 	// DensityHalf is the neighbor count at which collision loss reaches
-	// half of MaxCollisionLoss: pCollide = Max × d/(d+DensityHalf).
+	// half of maxCollisionLoss: pCollide = Max × d/(d+DensityHalf).
 	densityHalf float64
 	stats       Stats
 }
@@ -55,7 +55,7 @@ func (c *ShardChannel) Params() Params { return c.params }
 // with the given neighbor density.
 func (c *ShardChannel) CollisionProb(density int) float64 {
 	d := float64(density)
-	return c.params.MaxCollisionLoss * d / (d + c.densityHalf)
+	return maxCollisionLoss * d / (d + c.densityHalf)
 }
 
 // NoteSent accounts one transmitted beacon of size bytes. The sender's

@@ -66,7 +66,7 @@ func TestShardChannelLoadLoss(t *testing.T) {
 	if c.CollisionProb(0) != 0 {
 		t.Fatalf("CollisionProb(0) = %v", c.CollisionProb(0))
 	}
-	if got, cap := c.CollisionProb(20), c.Params().MaxCollisionLoss/2; got != cap {
+	if got, cap := c.CollisionProb(20), maxCollisionLoss/2; got != cap {
 		t.Fatalf("CollisionProb(densityHalf) = %v, want %v", got, cap)
 	}
 	lossAt := func(density int) int {
@@ -80,8 +80,8 @@ func TestShardChannelLoadLoss(t *testing.T) {
 	if low >= high {
 		t.Fatalf("collision loss not increasing with density: %d at d=2 vs %d at d=200", low, high)
 	}
-	if frac := float64(high) / 2000; frac > c.Params().MaxCollisionLoss {
-		t.Fatalf("loss fraction %v exceeds cap %v", frac, c.Params().MaxCollisionLoss)
+	if frac := float64(high) / 2000; frac > maxCollisionLoss {
+		t.Fatalf("loss fraction %v exceeds cap %v", frac, maxCollisionLoss)
 	}
 }
 

@@ -36,14 +36,15 @@ type Spec struct {
 	Radio radio.Params
 	// BeaconPeriod for all nodes; default 500 ms.
 	BeaconPeriod sim.Time
-	// MobilityTick is the kinematics timestep; default 100 ms.
-	MobilityTick sim.Time
 	// Profile returns the profile for the i-th vehicle; nil means
 	// mobility.DefaultProfile for all.
 	Profile func(i int) mobility.Profile
 	// Parked makes all vehicles stationary (parking-lot scenarios).
 	Parked bool
 }
+
+// mobilityTick is the kinematics timestep.
+const mobilityTick = 100 * time.Millisecond
 
 // Scenario is a wired simulation.
 type Scenario struct {
@@ -74,9 +75,6 @@ func New(spec Spec) (*Scenario, error) {
 	}
 	if spec.BeaconPeriod <= 0 {
 		spec.BeaconPeriod = 500 * time.Millisecond
-	}
-	if spec.MobilityTick <= 0 {
-		spec.MobilityTick = 100 * time.Millisecond
 	}
 
 	kernel := sim.NewKernel(spec.Seed)
@@ -195,8 +193,8 @@ func (s *Scenario) Start() error {
 		return fmt.Errorf("scenario: already started")
 	}
 	s.started = true
-	dt := s.spec.MobilityTick.Seconds()
-	if _, err := s.Kernel.Every(s.spec.MobilityTick, func() {
+	dt := mobilityTick.Seconds()
+	if _, err := s.Kernel.Every(mobilityTick, func() {
 		s.Mobility.Step(dt)
 		// Push fresh positions into the radio medium.
 		for id := range s.Nodes {

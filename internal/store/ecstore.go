@@ -31,7 +31,7 @@ type ecobj struct {
 // K data + M parity fragments spread over distinct members,
 // dwell-weighted so long-staying vehicles attract fragments first. Any
 // K distinct fragment indices reconstruct, so reads parallelize (the
-// latency is the K'th smallest member RTT at fragment size) and an
+// latency is one member RTT at fragment size) and an
 // acked write survives up to M member losses at (K+M)/K overhead.
 type ErasureCoded struct {
 	cfg   Config
@@ -46,7 +46,6 @@ type ErasureCoded struct {
 	rankScratch   []rankEntry
 	keyScratch    []Key
 	holderScratch []vnet.Addr
-	rttScratch    []float64
 }
 
 // NewErasureCoded creates the erasure-coded backend over the view.
@@ -193,9 +192,9 @@ func (e *ErasureCoded) Write(req WriteReq) WriteAck {
 }
 
 // Read implements Backend: the best version with at least K distinct
-// fragment indices on online members is served; latency is the K'th
-// smallest RTT at fragment size among its contributors (fragments
-// transfer in parallel — the erasure-coding read advantage).
+// fragment indices on online members is served; latency is one RTT at
+// fragment size (fragments transfer in parallel — the erasure-coding
+// read advantage).
 func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	e.stats.Reads.Inc()
 	o := e.objects[req.Key]
@@ -219,12 +218,6 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 		e.stats.SessionStale.Inc()
 		return ReadResult{}, false
 	}
-	fsz := e.fragSize(o)
-	rtts := e.rttScratch[:0]
-	for _, a := range contributors {
-		rtts = append(rtts, e.cfg.RTT(a, fsz))
-	}
-	e.rttScratch = rtts
 	var data []byte
 	if best == o.version && o.length > 0 {
 		shards := make([][]byte, e.cfg.K+e.cfg.M)
@@ -244,8 +237,8 @@ func (e *ErasureCoded) Read(req ReadReq) (ReadResult, bool) {
 	return ReadResult{
 		Data:    data,
 		Version: best,
-		Latency: quantile(rtts, min(e.cfg.K, len(rtts))),
-		Replies: len(rtts),
+		Latency: DefaultRTT(e.fragSize(o)),
+		Replies: len(contributors),
 	}, true
 }
 

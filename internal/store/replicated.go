@@ -49,7 +49,6 @@ type Replicated struct {
 	keyScratch    []Key
 	holderScratch []vnet.Addr
 	placeScratch  []vnet.Addr
-	rttScratch    []float64
 }
 
 // NewReplicated creates the quorum backend over the view.
@@ -184,8 +183,8 @@ func (r *Replicated) Write(req WriteReq) WriteAck {
 }
 
 // Read implements Backend: gather replies from online holders, need R
-// of them, serve the highest version seen. Latency is the R'th
-// smallest holder RTT at the object size.
+// of them, serve the highest version seen. Latency is one RTT at the
+// object size.
 //
 // Strict quorums (the default) count the R replies against the key's
 // current placed set only: members outside it may hold versions
@@ -205,7 +204,7 @@ func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 	}
 	best := Version(0)
 	var data []byte
-	rtts := r.rttScratch[:0]
+	replies := 0
 	for _, a := range r.holdersOf(o) {
 		if !r.view.Online(a) {
 			continue
@@ -214,10 +213,9 @@ func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 		if cp.version > best {
 			best, data = cp.version, cp.data
 		}
-		rtts = append(rtts, r.cfg.RTT(a, o.size))
+		replies++
 	}
-	r.rttScratch = rtts
-	if len(rtts) < r.cfg.R {
+	if replies < r.cfg.R {
 		return ReadResult{}, false
 	}
 	if !r.cfg.Sloppy {
@@ -241,8 +239,8 @@ func (r *Replicated) Read(req ReadReq) (ReadResult, bool) {
 	return ReadResult{
 		Data:    data,
 		Version: best,
-		Latency: quantile(rtts, r.cfg.R),
-		Replies: len(rtts),
+		Latency: DefaultRTT(o.size),
+		Replies: replies,
 	}, true
 }
 

@@ -195,8 +195,8 @@ type ReadResult struct {
 	Data []byte
 	// Version is the version served.
 	Version Version
-	// Latency is the modeled time-to-first-usable-byte in seconds: the
-	// quorum'th-smallest member RTT at the transfer size.
+	// Latency is the modeled time-to-first-usable-byte in seconds:
+	// DefaultRTT at the transfer size.
 	Latency float64
 	// Replies is how many online holders answered.
 	Replies int
@@ -260,20 +260,17 @@ func (s *Stats) Availability() float64 {
 	return metrics.Ratio(s.ReadsOK.Value(), s.Reads.Value())
 }
 
-// RTTFunc models the round-trip time in seconds to fetch size bytes
-// from member a. Backends use it to derive read latency: the quorum'th
-// smallest RTT among responding holders.
-type RTTFunc func(a vnet.Addr, size int) float64
-
-// DefaultRTT is a DSRC-like transfer model: 8 ms of access latency
-// plus the serialization time of size bytes at 3 MB/s.
-func DefaultRTT(_ vnet.Addr, size int) float64 {
+// DefaultRTT models the round-trip time in seconds to fetch size bytes
+// from any member: a DSRC-like 8 ms of access latency plus the
+// serialization time of size bytes at 3 MB/s. Every member is equally
+// far, so a read's latency is one DefaultRTT at its transfer size.
+func DefaultRTT(size int) float64 {
 	return 0.008 + float64(size)/(3<<20)
 }
 
 // Config tunes a backend. The zero value is completed by Validate:
 // N=3, W and R majority (2), K=4, M=2, FragAck=K+M, Eventual
-// consistency, dwell placement, DefaultRTT.
+// consistency, dwell placement.
 type Config struct {
 	// N is the whole-object copy count (Replicated backend).
 	N int
@@ -312,8 +309,6 @@ type Config struct {
 	// sleepers return (only meaningful with RetainOffline). Repair
 	// never trims a copy whose version exceeds the best live version.
 	TrimSurplus bool
-	// RTT models member fetch latency; nil means DefaultRTT.
-	RTT RTTFunc
 }
 
 // Validate fills defaults and rejects inconsistent quorums.
@@ -335,9 +330,6 @@ func (c *Config) Validate() error {
 	}
 	if c.FragAck == 0 {
 		c.FragAck = c.K + c.M
-	}
-	if c.RTT == nil {
-		c.RTT = DefaultRTT
 	}
 	if c.N < 1 || c.W < 1 || c.R < 1 {
 		return fmt.Errorf("store: quorums must be >= 1 (N=%d W=%d R=%d)", c.N, c.W, c.R)
@@ -427,13 +419,6 @@ func rankOnline(scratch *[]rankEntry, v View, p Placement, load map[vnet.Addr]in
 	})
 	*scratch = es
 	return es
-}
-
-// quantile returns the q'th smallest value (1-based) of rtts, sorting
-// in place. It assumes 1 <= q <= len(rtts).
-func quantile(rtts []float64, q int) float64 {
-	slices.Sort(rtts)
-	return rtts[q-1]
 }
 
 // Put writes data under key through b, stamped with b's current view

@@ -21,8 +21,6 @@ type MemberConfig struct {
 	// needed to finish. Nil disables proactive handover (the member then
 	// only reacts to total controller loss).
 	DepartureWarning func() float64
-	// CheckPeriod is the departure-check interval. Default 1 s.
-	CheckPeriod sim.Time
 	// Authorize, when non-nil, gates joining a new controller: the
 	// member calls it once per controller and only sends its join after
 	// done(true) — secure v-cloud initialization (§V.A), typically a
@@ -117,6 +115,9 @@ type Member struct {
 	estimateSeq uint64
 }
 
+// memberCheckPeriod is the departure-check interval.
+const memberCheckPeriod = time.Second
+
 // NewMember creates and starts a member agent on node.
 func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error) {
 	if node == nil || stats == nil {
@@ -124,9 +125,6 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 	}
 	if cfg.Resources.CPU <= 0 {
 		return nil, fmt.Errorf("vcloud: member CPU must be positive, got %v", cfg.Resources.CPU)
-	}
-	if cfg.CheckPeriod <= 0 {
-		cfg.CheckPeriod = time.Second
 	}
 	m := &Member{
 		node:        node,
@@ -144,7 +142,7 @@ func NewMember(node *vnet.Node, cfg MemberConfig, stats *Stats) (*Member, error)
 	node.Handle(kindCkpt, m.onCkpt)
 	node.Handle(kindStagePull, m.onStagePull)
 	node.Handle(kindStageData, m.onStageData)
-	t, err := node.Kernel().Every(cfg.CheckPeriod, m.tick)
+	t, err := node.Kernel().Every(memberCheckPeriod, m.tick)
 	if err != nil {
 		return nil, err
 	}

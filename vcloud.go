@@ -33,11 +33,12 @@
 //     E1–E17 experiment suite that operationalizes every figure and
 //     claim (see DESIGN.md and EXPERIMENTS.md).
 //
-// This root package is the public facade: it re-exports the library's
-// main types under one import and offers high-level constructors for
-// the common scenarios. The examples/ directory shows complete
-// programs; internal packages remain importable inside this module for
-// advanced composition.
+// This root package is a small facade: it exports the names the
+// examples/ programs, the cmd/ tools and the README use, plus
+// constructors for the common scenarios. Everything else — storage
+// backends, the sharded-world runner, estimate feeds, scenario specs —
+// lives in the internal packages, which stay importable inside this
+// module.
 package vcloud
 
 import (
@@ -56,9 +57,7 @@ import (
 	"vcloud/internal/radio"
 	"vcloud/internal/roadnet"
 	"vcloud/internal/scenario"
-	"vcloud/internal/shardworld"
 	"vcloud/internal/sim"
-	"vcloud/internal/store"
 	"vcloud/internal/vcloud"
 	"vcloud/internal/vnet"
 )
@@ -68,10 +67,6 @@ type (
 	// Scenario is a wired simulation: kernel, radio, mobility and one
 	// network node per vehicle.
 	Scenario = scenario.Scenario
-	// ScenarioSpec configures scenario construction.
-	ScenarioSpec = scenario.Spec
-	// Point is a 2-D position in meters.
-	Point = geo.Point
 	// Duration is virtual simulation time.
 	Duration = sim.Time
 	// Node is a network endpoint in the simulated VANET (vehicles and
@@ -79,16 +74,12 @@ type (
 	Node = vnet.Node
 	// VehicleID identifies a vehicle.
 	VehicleID = mobility.VehicleID
-	// Profile describes a vehicle's driving and equipment profile.
-	Profile = mobility.Profile
 )
 
 // Vehicular-cloud types.
 type (
 	// Cloud is a deployed vehicular cloud (controllers + members).
 	Cloud = vcloud.Deployment
-	// CloudConfig tunes a deployment.
-	CloudConfig = vcloud.DeployConfig
 	// CloudStats aggregates task outcomes.
 	CloudStats = vcloud.Stats
 	// Task is a unit of offloadable computation.
@@ -119,14 +110,10 @@ type (
 	JobSpec = vcloud.JobSpec
 	// StageSpec is one stage of a job DAG.
 	StageSpec = vcloud.StageSpec
-	// JobID identifies a submitted job.
-	JobID = vcloud.JobID
 	// JobResult reports a finished job with per-stage outcomes.
 	JobResult = vcloud.JobResult
 	// StageOutcome records one stage's final status and holders.
 	StageOutcome = vcloud.StageOutcome
-	// StageStatus is a stage's lifecycle state.
-	StageStatus = vcloud.StageStatus
 	// FailReason is the structured cause attached to failed tasks and
 	// jobs (deadline, retries-exhausted, no-eligible-member, …).
 	FailReason = vcloud.FailReason
@@ -134,15 +121,6 @@ type (
 	EdgeConfig = vcloud.EdgeConfig
 	// EdgeServer is a fixed-infrastructure cloud member hosted on an RSU.
 	EdgeServer = vcloud.EdgeServer
-)
-
-// Stage lifecycle states.
-const (
-	StageWaiting   = vcloud.StageWaiting
-	StageRunning   = vcloud.StageRunning
-	StageDone      = vcloud.StageDone
-	StageAbandoned = vcloud.StageAbandoned
-	StageFailed    = vcloud.StageFailed
 )
 
 // Structured failure reasons.
@@ -180,20 +158,15 @@ type (
 	// exchanges routed through it feed a GCC-style delay-gradient
 	// bandwidth estimator.
 	UplinkSender = radio.Sender
-	// BWEConfig tunes a bandwidth estimator.
+	// BWEConfig tunes a sender's delay-gradient (trendline + adaptive
+	// threshold + AIMD) bandwidth estimator.
 	BWEConfig = radio.BWEConfig
-	// BWEstimator is the delay-gradient (trendline + adaptive threshold
-	// + AIMD) bandwidth estimator.
-	BWEstimator = radio.BWEstimator
 )
 
 // NewUplink creates a healthy uplink on the scenario's kernel.
 func NewUplink(s *Scenario, params UplinkParams) (*Uplink, error) {
 	return radio.NewUplink(s.Kernel, params)
 }
-
-// DefaultUplinkParams returns LTE-flavoured uplink defaults.
-func DefaultUplinkParams() UplinkParams { return radio.DefaultUplinkParams() }
 
 // Congestion-aware offload placement (the §III resource-management
 // challenge under a shared, lossy uplink; see internal/radio/gcc.go for
@@ -214,16 +187,6 @@ type (
 	GovernorTier = vcloud.GovernorTier
 	// ExecTier identifies an execution tier (vehicle / RSU edge / cloud).
 	ExecTier = vcloud.Tier
-	// TierEstimate is one tier's live capacity estimate as published on
-	// the epoch-fenced estimate feed.
-	TierEstimate = vcloud.TierEstimate
-	// EstimateFeed periodically publishes a tier's estimates as fenced
-	// cluster messages (see EstimateSource).
-	EstimateFeed = vcloud.EstimateFeed
-	// EstimateSource is anything that can be polled for a TierEstimate.
-	EstimateSource = vcloud.EstimateSource
-	// CloudBackend is the governor's execution-tier contract.
-	CloudBackend = vcloud.Backend
 	// RemoteCloud executes tasks across an uplink on a remote
 	// datacenter.
 	RemoteCloud = vcloud.RemoteCloud
@@ -248,12 +211,6 @@ func NewGovernor(s *Scenario, cfg GovernorConfig, stats *CloudStats) (*Governor,
 	return vcloud.NewGovernor(s.Kernel, cfg, stats)
 }
 
-// NewRemoteCloud builds a conventional-cloud backend behind the uplink
-// (no congestion feedback — the legacy infinite-pipe model).
-func NewRemoteCloud(name string, s *Scenario, uplink *Uplink, cpu float64, stats *CloudStats) (*RemoteCloud, error) {
-	return vcloud.NewRemoteCloud(name, s.Kernel, uplink, cpu, stats)
-}
-
 // NewRemoteCloudSender builds a conventional-cloud backend whose
 // exchanges ride an estimator-backed UplinkSender, feeding the
 // governor's live view of the channel.
@@ -271,8 +228,6 @@ type (
 	AuthMetrics = auth.Metrics
 	// TrustedAuthority is the PKI root all vehicles enroll with.
 	TrustedAuthority = pki.TA
-	// Ledger is the incentive credit ledger.
-	Ledger = vcloud.Ledger
 )
 
 // Fault-injection types (the dependability drill subsystem; see
@@ -280,8 +235,6 @@ type (
 type (
 	// FaultPlan is an ordered, deterministic fault schedule.
 	FaultPlan = faults.Plan
-	// FaultEvent is one scheduled fault.
-	FaultEvent = faults.Event
 	// FaultInjector binds fault plans to a scenario.
 	FaultInjector = faults.Injector
 )
@@ -293,34 +246,6 @@ func ParseFaultPlan(text string) (FaultPlan, error) { return faults.Parse(text) 
 // NewFaultInjector creates a fault injector over the scenario; schedule
 // plans on it before or during the run.
 func NewFaultInjector(s *Scenario) (*FaultInjector, error) { return faults.NewInjector(s) }
-
-// Storage-service types (the §III.A data-storage service over churn;
-// see internal/store).
-type (
-	// StorageBackend is the quorum storage contract: replicated or
-	// erasure-coded objects over cluster members.
-	StorageBackend = store.Backend
-	// StorageConfig tunes replication/erasure factors, quorum sizes,
-	// consistency level and placement policy.
-	StorageConfig = store.Config
-	// StorageView is the membership/reachability view a backend places
-	// against (wire a controller's StorageView or a FuncView).
-	StorageView = store.View
-	// StorageStats counts writes, reads, repairs and bytes moved.
-	StorageStats = store.Stats
-)
-
-// NewReplicatedStore builds a whole-copy quorum backend (W+R>N strict
-// intersection unless cfg.Sloppy).
-func NewReplicatedStore(cfg StorageConfig, v StorageView, st *StorageStats) (StorageBackend, error) {
-	return store.NewReplicated(cfg, v, st)
-}
-
-// NewErasureCodedStore builds a (K, M) Reed–Solomon backend: any K of
-// K+M fragments reconstruct an object.
-func NewErasureCodedStore(cfg StorageConfig, v StorageView, st *StorageStats) (StorageBackend, error) {
-	return store.NewErasureCoded(cfg, v, st)
-}
 
 // Experiment types.
 type (
@@ -372,10 +297,12 @@ func NewHighwayScenario(opts HighwayOptions) (*Scenario, error) {
 // CityOptions configures NewCityScenario.
 type CityOptions struct {
 	Seed     int64
-	Blocks   int     // grid is Blocks×Blocks intersections (default 5)
-	BlockM   float64 // intersection spacing (default 200 m)
-	Vehicles int     // default 50
+	Blocks   int // grid is Blocks×Blocks intersections (default 5)
+	Vehicles int // default 50
 }
+
+// cityBlockM is the city grid's intersection spacing in meters.
+const cityBlockM = 200
 
 // NewCityScenario builds a Manhattan-grid urban scenario.
 func NewCityScenario(opts CityOptions) (*Scenario, error) {
@@ -385,14 +312,11 @@ func NewCityScenario(opts CityOptions) (*Scenario, error) {
 	if opts.Blocks < 2 {
 		opts.Blocks = 5
 	}
-	if opts.BlockM <= 0 {
-		opts.BlockM = 200
-	}
 	if opts.Vehicles <= 0 {
 		opts.Vehicles = 50
 	}
 	net, err := roadnet.Grid(roadnet.GridSpec{
-		Rows: opts.Blocks, Cols: opts.Blocks, Spacing: opts.BlockM, SpeedLimit: 13.9, Lanes: 1,
+		Rows: opts.Blocks, Cols: opts.Blocks, Spacing: cityBlockM, SpeedLimit: 13.9, Lanes: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -476,41 +400,12 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 	return nil, fmt.Errorf("vcloud: unknown experiment %q (valid: E1..E17)", id)
 }
 
-// Geo-sharded parallel kernel types (see internal/sim/shard.go for the
-// conservative-lookahead coordinator and internal/shardworld for the
-// composed scenario).
-type (
-	// ShardedKernel runs one simulation across N geographic shards — one
-	// event kernel per shard, synchronized in conservative lookahead
-	// windows with a fixed cross-shard merge order, so results are
-	// bit-for-bit identical to a serial kernel at any shard count.
-	ShardedKernel = sim.ShardedKernel
-	// ShardWorldConfig parameterizes a geo-sharded beaconing scenario.
-	ShardWorldConfig = shardworld.Config
-	// ShardWorldResult is a finished sharded run: shard-invariant sampled
-	// output plus sharding and performance telemetry.
-	ShardWorldResult = shardworld.Result
-	// ShardOutage silences beacons from a region for a tick interval.
-	ShardOutage = shardworld.Outage
-	// ShardSampleRow is one fleet-wide counter sample.
-	ShardSampleRow = shardworld.SampleRow
-)
-
-// NewShardedKernel creates a sharded kernel: n shards, conservative
-// lookahead L. Cross-shard events must be injected at least L ahead.
-func NewShardedKernel(seed int64, n int, lookahead Duration) (*ShardedKernel, error) {
-	return sim.NewShardedKernel(seed, n, lookahead)
-}
-
-// DefaultShardWorldConfig returns the standard sharded-world scenario.
-func DefaultShardWorldConfig(seed int64, shards int) ShardWorldConfig {
-	return shardworld.DefaultConfig(seed, shards)
-}
-
-// RunShardWorld executes the geo-sharded beaconing scenario and returns
-// its result; equal configs (including shard count changes) reproduce
-// the model output bit-for-bit — compare ShardWorldResult.Checksum.
-func RunShardWorld(cfg ShardWorldConfig) (*ShardWorldResult, error) { return shardworld.Run(cfg) }
+// ShardedKernel runs one simulation across N geographic shards — one
+// event kernel per shard, synchronized in conservative lookahead windows
+// with a fixed cross-shard merge order, so results are bit-for-bit
+// identical to a serial kernel at any shard count (see
+// internal/sim/shard.go; internal/shardworld composes a scenario on it).
+type ShardedKernel = sim.ShardedKernel
 
 // Chaos-soak types (the long-horizon invariant harness; see
 // internal/chaos).
